@@ -19,10 +19,12 @@ runCleanInt(const Options& opt, const std::vector<Program>& corpus,
             Tracer& tracer, Report& report)
 {
     Setups setups;
+    std::vector<std::shared_ptr<const ValidatedModule>> vms;
     for (int rep = 0; rep < kSetupRepsBefore; rep++) {
-        if (!setups.run(corpus, tracer, report)) return;
+        vms.clear();
+        vms = setups.run(corpus, tracer, report);
+        if (vms.empty()) return;
     }
-    const auto vms = setups.vms;
 
     // The job list: shuffled passes over the corpus, so every run
     // with one seed runs the same jobs in the same order and the job
@@ -44,8 +46,14 @@ runCleanInt(const Options& opt, const std::vector<Program>& corpus,
     EngineConfig cfg;
     cfg.mode = ExecMode::Interpreter;
     std::vector<double> jobMs, ctorUs, loadUs, instUs, execMs, dtorUs, refMs;
+    // Reserved up front: allocations made between two jobs can land in
+    // the freed value stack of the last engine, and the next engine
+    // then grows the heap (see Setups::run).
+    for (auto* v :
+         {&jobMs, &ctorUs, &loadUs, &instUs, &execMs, &dtorUs, &refMs}) {
+        v->reserve(jobs);
+    }
     EngineCounters counters;
-    uint64_t instrs = 0;
     double execUsTotal = 0;
     // The timed phase. Reference-kernel samples and the spread-out
     // set-ups run between jobs and are left out of wall_s.
@@ -54,8 +62,8 @@ runCleanInt(const Options& opt, const std::vector<Program>& corpus,
     for (size_t j = 0; j < jobs; j++) {
         const double gap = nowUs();
         if (j % 4 == 0) refMs.push_back(timeReferenceKernel());
-        if (setupDue(j, jobs) &&
-            !setups.run(corpus, tracer, report)) {
+        // The modules of a spread-out set-up are dropped at once.
+        if (setupDue(j, jobs) && setups.run(corpus, tracer, report).empty()) {
             return;
         }
         excludedUs += nowUs() - gap;
@@ -78,7 +86,6 @@ runCleanInt(const Options& opt, const std::vector<Program>& corpus,
         double xus = xt.stop();
         execMs.push_back(xus / 1e3);
         execUsTotal += xus;
-        instrs += want.instrs;
 
         uint64_t expect = want.checksumBits ^ (opt.faults.wrongChecksum ? 1 : 0);
         if (!lr.ok() || !ir.ok() || resultBits(r) != expect) {
@@ -92,29 +99,28 @@ runCleanInt(const Options& opt, const std::vector<Program>& corpus,
         jobMs.push_back(job.stop() / 1e3);
     }
     const double wallS = (nowUs() - t0 - excludedUs) / 1e6;
-    putSetupMetrics(report, setups, moduleBytes);
 
-    // interp.instrs is checked by an untimed HotnessMonitor pass over
-    // each program the job list used (traced runs only: it takes about
-    // as long as a hundred jobs).
-    if (tracer.enabled()) {
-        std::vector<bool> seen(corpus.size());
-        for (uint32_t i : order) {
-            if (seen[i]) continue;
-            seen[i] = true;
-            const Program& p = corpus[i];
-            Engine eng(cfg);
-            HotnessMonitor hot;
-            bool ok = eng.loadShared(vms[i]).ok();
-            eng.attachMonitor(&hot);
-            ok = ok && eng.instantiate().ok() &&
-                 eng.callExport("run", {Value::makeI32(p.n)}).ok();
-            if (!ok || hot.totalCount() != p.expected.at(p.n).instrs) {
-                report.fail("clean-int: instruction count of " + p.name +
-                            " differs from expected.txt");
-            }
+    // interp.instrs is counted by an untimed HotnessMonitor pass over
+    // each program (about as long as a hundred jobs), summed over the
+    // job list, and each program's count is checked against the table.
+    std::vector<uint64_t> counted(corpus.size());
+    for (uint32_t i = 0; i < corpus.size(); i++) {
+        const Program& p = corpus[i];
+        Engine eng(cfg);
+        HotnessMonitor hot;
+        bool ok = eng.loadShared(vms[i]).ok();
+        eng.attachMonitor(&hot);
+        ok = ok && eng.instantiate().ok() &&
+             eng.callExport("run", {Value::makeI32(p.n)}).ok();
+        counted[i] = hot.totalCount();
+        if (!ok || counted[i] != p.expected.at(p.n).instrs) {
+            report.fail("clean-int: instruction count of " + p.name +
+                        " differs from expected.txt");
         }
     }
+    uint64_t instrs = 0;
+    for (uint32_t i : order) instrs += counted[i];
+    putSetupMetrics(report, setups, moduleBytes);
 
     report.put("wall_s", wallS, "s");
     putQuantiles(report, "job_ms", jobMs, "ms", {50, 90, 99});

@@ -133,6 +133,18 @@ resultBits(const Result<std::vector<Value>>& r)
     return r.value()[0].bits;
 }
 
+std::vector<std::pair<uint32_t, uint32_t>>
+allSites(Engine& eng)
+{
+    std::vector<std::pair<uint32_t, uint32_t>> out;
+    for (uint32_t f = 0; f < eng.numFuncs(); f++) {
+        FuncState& fs = eng.funcState(f);
+        if (fs.decl->imported) continue;
+        for (uint32_t pc : fs.sideTable.instrBoundaries) out.push_back({f, pc});
+    }
+    return out;
+}
+
 bool
 isBranchOpcode(uint8_t op)
 {

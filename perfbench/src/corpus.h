@@ -63,6 +63,12 @@ const Program* findProgram(const std::vector<Program>& corpus,
 /** Bits of an f64 `run` result, or ~0 when the call failed. */
 uint64_t resultBits(const wizpp::Result<std::vector<wizpp::Value>>& r);
 
+/**
+ * Every instruction boundary of every non-imported function of @p eng,
+ * as (function, pc), function by function in pc order.
+ */
+std::vector<std::pair<uint32_t, uint32_t>> allSites(wizpp::Engine& eng);
+
 /** True for the opcodes the `branches` tool instruments. */
 bool isBranchOpcode(uint8_t op);
 

@@ -69,8 +69,8 @@ scaleByHost(const std::string& workload, Report& report)
     }
 }
 
-/** Folds a trace into per-layer metrics; fails the run if a job's
-    self times do not add up to its duration. */
+/** Folds a trace into per-layer metrics; fails the run if its spans do
+    not nest. */
 void
 putTraceMetrics(const Tracer& tracer, Report& report, double untracedWallS)
 {
@@ -85,12 +85,13 @@ putTraceMetrics(const Tracer& tracer, Report& report, double untracedWallS)
     report.put("trace.unattributed_ms", unattributedUs / 1e3, "ms");
     report.put("trace.unattributed_share",
                jobsUs > 0 ? unattributedUs / jobsUs : 0, "ratio");
-    report.put("trace.sum_error_us_max", sum.maxSumErrorUs, "us");
+    report.put("trace.nesting_errors", (double)sum.nestingErrors, "count");
     report.put("trace.spans", (double)sum.spans, "count");
     report.put("trace.overhead", report.get("wall_s") / untracedWallS,
                "ratio");
-    if (sum.maxSumErrorUs > 1.0) {
-        report.fail("trace: a job's self times do not add up to its time");
+    if (sum.nestingErrors) {
+        report.fail("trace: " + std::to_string(sum.nestingErrors) +
+                    " spans do not nest in their parents");
     }
 }
 

@@ -43,19 +43,6 @@ siteKey(uint32_t f, uint32_t pc)
     return (uint64_t)f << 32 | pc;
 }
 
-/** Every instruction boundary of every non-imported function. */
-std::vector<std::pair<uint32_t, uint32_t>>
-allSites(Engine& eng)
-{
-    std::vector<std::pair<uint32_t, uint32_t>> out;
-    for (uint32_t f = 0; f < eng.numFuncs(); f++) {
-        FuncState& fs = eng.funcState(f);
-        if (fs.decl->imported) continue;
-        for (uint32_t pc : fs.sideTable.instrBoundaries) out.push_back({f, pc});
-    }
-    return out;
-}
-
 /**
  * Per-site execution counts of one run at nJit: the reference the
  * breakpoint fire counts are checked against. Their sum must match
@@ -94,6 +81,7 @@ struct Samples
         instUs, refMs;
     double cleanUsTotal = 0, probedMinusCleanUs = 0;
     uint64_t cleanInstrs = 0, sites = 0, fires = 0;
+    uint64_t compiledFires = 0;  ///< fires of the compiled-tier kinds
 };
 
 } // namespace
@@ -103,10 +91,12 @@ runProbeChurn(const Options& opt, const std::vector<Program>& corpus,
               Tracer& tracer, Report& report)
 {
     Setups setups;
+    std::vector<std::shared_ptr<const ValidatedModule>> vms;
     for (int rep = 0; rep < kSetupRepsBefore; rep++) {
-        if (!setups.run(corpus, tracer, report)) return;
+        vms.clear();
+        vms = setups.run(corpus, tracer, report);
+        if (vms.empty()) return;
     }
-    const auto vms = setups.vms;
 
     // The session plan: the same seed gives the same programs, action
     // kinds and breakpoint sites.
@@ -143,6 +133,9 @@ runProbeChurn(const Options& opt, const std::vector<Program>& corpus,
     }
 
     Samples smp;
+    // The one sample taken while no engine is alive; reserved up front
+    // for the reason given in Setups::run.
+    smp.refMs.reserve(plan.size());
     EngineCounters counters;
     uint64_t job = 0;
     // The timed phase. Reference-kernel samples and the spread-out
@@ -153,8 +146,9 @@ runProbeChurn(const Options& opt, const std::vector<Program>& corpus,
         const Session& s = plan[si];
         const double gap = nowUs();
         smp.refMs.push_back(timeReferenceKernel());
+        // The modules of a spread-out set-up are dropped at once.
         if (setupDue(si, plan.size()) &&
-            !setups.run(corpus, tracer, report)) {
+            setups.run(corpus, tracer, report).empty()) {
             return;
         }
         excludedUs += nowUs() - gap;
@@ -382,8 +376,14 @@ runProbeChurn(const Options& opt, const std::vector<Program>& corpus,
             smp.cleanUsTotal += cleanMs * 1e3;
             smp.cleanInstrs += want.instrs;
             smp.residual.push_back(cleanMs / beforeMs);
-            if (kind != Kind::Global) smp.probedMs.push_back(probedMs);
-            smp.probedMinusCleanUs += (probedMs - beforeMs) * 1e3;
+            // A global probe pins the interpreter, so its probed run
+            // differs from the clean compiled run by the tier, not by
+            // fire cost: exec_probed_ms and fire_ns leave it out.
+            if (kind != Kind::Global) {
+                smp.probedMs.push_back(probedMs);
+                smp.probedMinusCleanUs += (probedMs - beforeMs) * 1e3;
+                smp.compiledFires += fires;
+            }
             smp.sites += kind == Kind::Global ? 0 : attached;
             smp.fires += fires;
             beforeMs = cleanMs;
@@ -419,7 +419,9 @@ runProbeChurn(const Options& opt, const std::vector<Program>& corpus,
     report.put("probes.sites", (double)smp.sites, "count");
     report.put("probes.fires", (double)smp.fires, "count");
     report.put("probes.fire_ns",
-               smp.fires ? smp.probedMinusCleanUs * 1e3 / (double)smp.fires : 0,
+               smp.compiledFires
+                   ? smp.probedMinusCleanUs * 1e3 / (double)smp.compiledFires
+                   : 0,
                "ns");
 }
 

@@ -81,6 +81,13 @@ main(int argc, char** argv)
     expect(mentions(gs, "generator fell behind"),
            "a generator that falls behind schedule is flagged");
 
+    Tracer tr(true);
+    int32_t job = tr.open("job", Layer::Job, 1, 0);
+    tr.close(tr.open("child", Layer::Engine, 1, 1), 9);
+    tr.close(job, 5);
+    expect(summarize(tr).nestingErrors == 1,
+           "a span that outlasts its parent breaks the nesting check");
+
     // Determinism: one seed, two runs, identical exact counts — and no
     // failed op on clean code.
     for (const char* w : {"clean-int", "probe-churn", "serve-fleet"}) {

@@ -55,15 +55,14 @@ buildPlan(Engine& eng, WorkerState& ws, Plan plan)
     ws.live.clear();
     ws.plan = plan;
     std::vector<ProbeManager::SiteProbe> out;
-    for (uint32_t f = 0; f < eng.numFuncs(); f++) {
-        FuncState& fs = eng.funcState(f);
-        if (fs.decl->imported || fs.sideTable.instrBoundaries.empty()) continue;
-        for (uint32_t pc : fs.sideTable.instrBoundaries) {
-            auto c = std::make_shared<CountProbe>();
-            ws.live.push_back(c);
-            out.push_back({f, pc, c});
-            if (plan == Plan::Entry) break;
-        }
+    uint32_t lastFunc = UINT32_MAX;
+    for (auto [f, pc] : allSites(eng)) {
+        // A function's first site is its entry.
+        if (plan == Plan::Entry && f == lastFunc) continue;
+        lastFunc = f;
+        auto c = std::make_shared<CountProbe>();
+        ws.live.push_back(c);
+        out.push_back({f, pc, c});
     }
     ws.planned.push_back(out.size());
     return out;
@@ -86,50 +85,66 @@ runServeFleet(const Options& opt, const std::vector<Program>& corpus,
     std::vector<WorkerState> states(kServeWorkers);
     const uint64_t bitsFlip = opt.faults.wrongChecksum ? 1 : 0;
 
-    // Set-up: decode, validate, start the pool, one warm-up call per
-    // worker. Repeated; the last pool serves the timed phase.
+    // One set-up: decode, validate, start a pool, one warm-up call per
+    // worker. Its span covers the module and the pool, so setups.run
+    // is not used.
     Setups setups;
     std::vector<double> startMs;
-    std::unique_ptr<serve::InstancePool> pool;
     int32_t func = -1;
-    for (int rep = 0; rep < kSetupReps; rep++) {
-        if (pool) pool->stop();
-        pool.reset();
-        // One set-up span covers the module and the pool; setups.run
-        // is not used because the pool is part of this set-up.
+    auto setUp = [&]() -> std::unique_ptr<serve::InstancePool> {
         Timed t(tracer, "setup", Layer::Job, 0);
         auto vms = decodeAndValidate({*richards}, tracer, report,
                                      &setups.decodeUs, &setups.validateUs);
-        if (vms.empty()) return;
+        if (vms.empty()) return nullptr;
         Timed st(tracer, "serve.start", Layer::Serve, 0);
-        pool = std::make_unique<serve::InstancePool>(
+        auto p = std::make_unique<serve::InstancePool>(
             vms[0], EngineConfig{}, serve::PoolOptions{kServeWorkers});
-        auto started = pool->start();
+        auto started = p->start();
         startMs.push_back(st.stop() / 1e3);
-        func = pool->findFunc("run");
+        func = p->findFunc("run");
         if (!started.ok() || func < 0) {
             report.fail("serve-fleet: pool start failed");
-            return;
+            return nullptr;
         }
         std::atomic<uint64_t> bad{0};
         const uint64_t want = richards->expected.at(1).checksumBits ^ bitsFlip;
         Timed wt(tracer, "serve.warmup", Layer::Serve, 0);
         for (uint32_t w = 0; w < kServeWorkers; w++) {
             report.attempt();
-            pool->submit((uint32_t)func, {Value::makeI32(1)},
-                         [&](uint32_t, const Result<std::vector<Value>>& r) {
-                             if (resultBits(r) != want) bad++;
-                         });
+            p->submit((uint32_t)func, {Value::makeI32(1)},
+                      [&](uint32_t, const Result<std::vector<Value>>& r) {
+                          if (resultBits(r) != want) bad++;
+                      });
         }
-        pool->drain();
+        p->drain();
         wt.stop();
-        setups.seconds.push_back(t.stop() / 1e6);
         for (uint64_t i = 0; i < bad.load(); i++) {
             report.fail("serve-fleet: warm-up call returned a wrong checksum");
         }
+        return p;
+    };
+    // One sample: kServeSetupPasses set-ups, each pool stopped (outside
+    // the timing) before the next starts. @p pool keeps the last one.
+    auto sample = [&](std::unique_ptr<serve::InstancePool>& pool) {
+        double us = 0;
+        for (int pass = 0; pass < kServeSetupPasses; pass++) {
+            pool.reset();
+            const double t0 = nowUs();
+            pool = setUp();
+            us += nowUs() - t0;
+            if (!pool) return false;
+        }
+        setups.seconds.push_back(us / 1e6 / kServeSetupPasses);
+        return true;
+    };
+    // Pools cannot be built while the pool serves without both competing
+    // for the cores, so half the samples run before the timed phase and
+    // half after it. The last pool built before it serves it.
+    constexpr int kBefore = kSetupReps / 2 + 1;
+    std::unique_ptr<serve::InstancePool> pool;
+    for (int rep = 0; rep < kBefore; rep++) {
+        if (!sample(pool)) return;
     }
-    putSetupMetrics(report, setups, richards->bytes.size());
-    report.put("serve.start_ms", median(startMs), "ms");
 
     // The arrival schedule: seeded exponential gaps at the committed
     // rate, never recalibrated, so every run offers the same load.
@@ -304,6 +319,14 @@ runServeFleet(const Options& opt, const std::vector<Program>& corpus,
     putQuantiles(report, "serve.fleet_op_ms", opMs, "ms", {50, 90});
     report.put("serve.apply_pause_us_max", (double)pauseMax, "us");
     report.put("serve.steals", (double)pool->executor().steals(), "count");
+    // The other set-up samples.
+    pool.reset();
+    for (int rep = kBefore; rep < kSetupReps; rep++) {
+        if (!sample(pool)) return;
+    }
+    pool.reset();
+    putSetupMetrics(report, setups, richards->bytes.size());
+    report.put("serve.start_ms", median(startMs), "ms");
     report.put("serve.invocations", (double)invocations, "count");
     report.put("serve.instrumented_invocations", (double)instrumented,
                "count");

@@ -101,22 +101,20 @@ measure(const std::shared_ptr<const ValidatedModule>& vm, uint32_t n,
     std::vector<ProbeManager::SiteProbe> batch;
     std::vector<std::shared_ptr<CountProbe>> instr, entry;
     std::vector<std::shared_ptr<BranchCounter>> branch;
-    for (uint32_t f = 0; f < eng.numFuncs(); f++) {
-        FuncState& fs = eng.funcState(f);
-        if (fs.decl->imported) continue;
-        for (uint32_t pc : fs.sideTable.instrBoundaries) {
-            if (pc == fs.sideTable.instrBoundaries.front()) {
-                entry.push_back(std::make_shared<CountProbe>());
-                batch.push_back({f, pc, entry.back()});
-            }
-            if (!global) {
-                instr.push_back(std::make_shared<CountProbe>());
-                batch.push_back({f, pc, instr.back()});
-            }
-            if (isBranchOpcode(fs.decl->code[pc])) {
-                branch.push_back(std::make_shared<BranchCounter>());
-                batch.push_back({f, pc, branch.back()});
-            }
+    uint32_t lastFunc = UINT32_MAX;
+    for (auto [f, pc] : allSites(eng)) {
+        if (f != lastFunc) {  // a function's first site is its entry
+            lastFunc = f;
+            entry.push_back(std::make_shared<CountProbe>());
+            batch.push_back({f, pc, entry.back()});
+        }
+        if (!global) {
+            instr.push_back(std::make_shared<CountProbe>());
+            batch.push_back({f, pc, instr.back()});
+        }
+        if (isBranchOpcode(eng.funcState(f).decl->code[pc])) {
+            branch.push_back(std::make_shared<BranchCounter>());
+            batch.push_back({f, pc, branch.back()});
         }
     }
     auto g = std::make_shared<CountProbe>();

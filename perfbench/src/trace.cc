@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <fstream>
 #include <iomanip>
 
@@ -126,52 +125,42 @@ summarize(const Tracer& t)
                 children[(size_t)spans[i].parent].push_back((int32_t)i);
             }
         }
+        // Check the nesting: each child lies inside its parent, after
+        // its previous sibling, and belongs to its parent's job. Where
+        // that holds, a span's children cover the sum of their
+        // durations, and the self times under a job add up to the
+        // job's duration by construction.
         std::vector<double> self(spans.size());
         for (size_t i = 0; i < spans.size(); i++) {
             const Span& s = spans[i];
-            std::vector<std::pair<double, double>> iv;
+            self[i] = s.end - s.start;
+            double prevEnd = s.start;
             for (int32_t c : children[i]) {
-                double a = std::max(spans[(size_t)c].start, s.start);
-                double b = std::min(spans[(size_t)c].end, s.end);
-                if (b > a) iv.push_back({a, b});
-            }
-            std::sort(iv.begin(), iv.end());
-            double covered = 0, curA = 0, curB = -1;
-            for (const auto& [a, b] : iv) {
-                if (a > curB) {
-                    if (curB > curA) covered += curB - curA;
-                    curA = a;
-                    curB = b;
-                } else {
-                    curB = std::max(curB, b);
+                const Span& k = spans[(size_t)c];
+                if (k.job != s.job || k.start < prevEnd || k.end < k.start ||
+                    k.end > s.end) {
+                    sum.nestingErrors++;
                 }
+                prevEnd = std::max(prevEnd, k.end);
+                self[i] -= k.end - k.start;
             }
-            if (curB > curA) covered += curB - curA;
-            self[i] = (s.end - s.start) - covered;
             sum.selfUs[(int)s.layer] += self[i];
         }
-        // Each top-level span is a job: its duration must equal the
-        // self times of everything under it plus its own remainder.
+        // Each top-level span is a job; the self time of its Job-layer
+        // spans is its unattributed remainder.
         std::vector<int32_t> top(spans.size());
+        std::vector<double> unattributed(spans.size(), 0);
         for (size_t i = 0; i < spans.size(); i++) {
             int32_t p = spans[i].parent;
             top[i] = p < 0 ? (int32_t)i : top[(size_t)p];
-        }
-        std::vector<double> covered(spans.size(), 0);
-        std::vector<double> unattributed(spans.size(), 0);
-        for (size_t i = 0; i < spans.size(); i++) {
-            covered[(size_t)top[i]] += self[i];
             if (spans[i].layer == Layer::Job) {
                 unattributed[(size_t)top[i]] += self[i];
             }
         }
         for (size_t i = 0; i < spans.size(); i++) {
             if (spans[i].parent >= 0) continue;
-            double dur = spans[i].end - spans[i].start;
-            sum.jobUs.push_back(dur);
+            sum.jobUs.push_back(spans[i].end - spans[i].start);
             sum.unattributedUs.push_back(unattributed[i]);
-            sum.maxSumErrorUs =
-                std::max(sum.maxSumErrorUs, std::fabs(dur - covered[i]));
         }
     }
     return sum;

@@ -6,10 +6,10 @@
  * whose parent is the enclosing job. Spans stay in memory, per
  * thread, and are written out when the run ends.
  *
- * A span's self time is its duration minus the part of it that its
- * child spans cover. Self times of a job's spans, plus the job span's
- * own self time (its `unattributed` remainder), add up to the job's
- * duration.
+ * A span's self time is its duration minus its child spans'. Where the
+ * spans nest (summarize() checks it), the self times of a job's spans,
+ * plus the job span's own self time (its `unattributed` remainder),
+ * add up to the job's duration.
  */
 
 #ifndef WIZBENCH_TRACE_H
@@ -135,8 +135,9 @@ struct TraceSummary
     double selfUs[(int)Layer::Count] = {};  ///< Job = unattributed
     std::vector<double> jobUs;              ///< each job's duration
     std::vector<double> unattributedUs;     ///< each job's remainder
-    /** Largest |duration - (sum of self times)| over all jobs. */
-    double maxSumErrorUs = 0;
+    /** Children outside their parent, overlapping a sibling, or of
+        another job than their parent's. */
+    uint64_t nestingErrors = 0;
     uint64_t spans = 0;
 };
 

@@ -33,13 +33,21 @@ constexpr double kProbeChurnSessionsPerSecond = 7;
 constexpr double kServeRequestsPerSecond = 100;
 constexpr uint32_t kServeWorkers = 2;
 /**
- * Set-ups per run: the first is cold, and setup_s is the median of the
- * rest. The closed loops run kSetupRepsBefore of them before the timed
- * phase and spread the others across it, so setup_s samples the host
- * over the whole run instead of its first few milliseconds.
+ * Set-up samples per run: the first is cold, and setup_s is the median
+ * of the rest. The closed loops run kSetupRepsBefore of them before the
+ * timed phase and spread the others across it, so setup_s samples the
+ * host over the whole run instead of its first few milliseconds.
  */
 constexpr int kSetupReps = 21;
 constexpr int kSetupRepsBefore = 5;
+/**
+ * Set-ups timed back to back in one sample, which reports their mean.
+ * One decode + validate of the corpus takes about 1 ms, too short to
+ * time steadily; a sample of 16 takes about 16 ms.
+ */
+constexpr int kSetupPasses = 16;
+/** The same for serve-fleet, whose one set-up takes about 8 ms. */
+constexpr int kServeSetupPasses = 4;
 
 /** True before the jobs (of @p jobs) that get a spread-out set-up:
     kSetupReps - kSetupRepsBefore of them, evenly spaced. */
@@ -59,15 +67,17 @@ decodeAndValidate(const std::vector<Program>& corpus, Tracer& tracer,
                   Report& report, std::vector<double>* decodeUs,
                   std::vector<double>* validateUs);
 
-/** The set-up samples of one run and the modules the last one built. */
+/** The set-up samples of one run. */
 struct Setups
 {
     std::vector<double> seconds, decodeUs, validateUs;
-    std::vector<std::shared_ptr<const wizpp::ValidatedModule>> vms;
 
-    /** Runs one set-up over @p corpus; false if it failed. */
-    bool run(const std::vector<Program>& corpus, Tracer& tracer,
-             Report& report);
+    /**
+     * Times one sample of kSetupPasses set-ups over @p corpus. Returns
+     * the modules the last pass built; empty if a pass failed.
+     */
+    std::vector<std::shared_ptr<const wizpp::ValidatedModule>>
+    run(const std::vector<Program>& corpus, Tracer& tracer, Report& report);
 };
 
 void runCleanInt(const Options& opt, const std::vector<Program>& corpus,
