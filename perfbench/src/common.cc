@@ -14,7 +14,7 @@ namespace {
 const Clock::time_point kOrigin = Clock::now();
 
 /** Kernel rounds: about kNominalRefMs on the reference host. */
-constexpr uint32_t kRefRounds = 100;
+constexpr uint32_t kRefRounds = 70;
 
 std::string
 formatNumber(double v)

@@ -145,7 +145,7 @@ double timeReferenceKernel();
 
 /** The reference kernel's nominal time on the host the committed
     tables were generated on (see README.md, "Host scaling"). */
-constexpr double kNominalRefMs = 0.33;
+constexpr double kNominalRefMs = 0.30;
 
 } // namespace wizbench
 

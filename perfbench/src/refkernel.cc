@@ -1,8 +1,11 @@
 // The host reference kernel. Deliberately self-contained: it includes
 // no engine header and calls nothing outside this file, so an engine
-// change can never change what it measures. Its mix of table loads,
-// data-dependent branches and floating-point work loosely mirrors an
-// interpreter loop.
+// change can never change what it measures. Its mix of table loads and
+// stores, data-dependent branches and floating-point work loosely
+// mirrors an interpreter loop. The table is 512 KiB, more than a core's
+// private caches hold, so the kernel slows down with the engine when
+// other tenants crowd the shared cache and memory (README.md, "Host
+// scaling").
 
 #include <cstdint>
 #include <cstring>
@@ -12,7 +15,8 @@ namespace wizbench {
 uint64_t
 referenceKernel(uint32_t rounds)
 {
-    static uint32_t table[4096];
+    constexpr uint32_t kEntries = 1u << 17;
+    static uint32_t table[kEntries];
     static bool ready = false;
     if (!ready) {
         uint32_t x = 2463534242u;
@@ -29,7 +33,7 @@ referenceKernel(uint32_t rounds)
     uint32_t i = 7;
     for (uint32_t r = 0; r < rounds; r++) {
         for (uint32_t k = 0; k < 1024; k++) {
-            uint32_t v = table[i & 4095];
+            uint32_t v = table[i & (kEntries - 1)];
             if (v & 1) {
                 acc += v;
                 i = (i * 1103515245u + 12345u) ^ v;
@@ -37,6 +41,7 @@ referenceKernel(uint32_t rounds)
                 acc ^= (uint64_t)v << 7;
                 i += v >> 3;
             }
+            table[(i >> 3) & (kEntries - 1)] += 1;
             f = f * 1.0000001 + (double)(v & 255) * 1e-9;
         }
     }

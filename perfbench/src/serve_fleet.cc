@@ -18,7 +18,14 @@ using namespace wizpp;
 
 namespace {
 
-constexpr uint32_t kSizes[3] = {1, 2, 4};
+/**
+ * Request sizes come in shuffled groups of this mix. Every-instruction
+ * probes, attached a quarter of the time, make a request about 1.4x
+ * slower, so each size has a clean mass and a smaller probed one above
+ * it; this mix puts p50 and p90 each near the middle of a clean mass
+ * (n = 2 and n = 4), away from the gaps (README.md, "Arrival rate").
+ */
+constexpr uint32_t kSizes[6] = {1, 1, 2, 2, 2, 4};
 /** A request submitted this late counts as the generator falling
     behind; more than 1% of them fails the run. */
 constexpr double kLateLimitUs = 10e3;
@@ -154,13 +161,13 @@ runServeFleet(const Options& opt, const std::vector<Program>& corpus,
     std::vector<double> dueUs(requests);
     std::vector<uint32_t> sizes(requests);
     double t = 0;
-    std::vector<uint32_t> triple(std::begin(kSizes), std::end(kSizes));
+    std::vector<uint32_t> group(std::begin(kSizes), std::end(kSizes));
     for (size_t i = 0; i < requests; i++) {
         t += -std::log(1.0 - rng.uniform()) * 1e6 / kServeRequestsPerSecond;
         dueUs[i] = t;
-        // Sizes come in shuffled triples: every run has the same mix.
-        if (i % 3 == 0) rng.shuffle(triple);
-        sizes[i] = triple[i % 3];
+        // Sizes come in shuffled groups: every run has the same mix.
+        if (i % group.size() == 0) rng.shuffle(group);
+        sizes[i] = group[i % group.size()];
     }
     const double spanUs = t;
     const int ops = std::max(2, opt.seconds / 2 * 2);

@@ -27,10 +27,10 @@ namespace wizbench {
 // about --seconds on the reference host (README.md, "Sizing").
 constexpr double kCleanIntJobsPerSecond = 150;
 constexpr double kProbeChurnSessionsPerSecond = 7;
-/** serve-fleet arrival rate: a bit under half of what 2 workers
-    sustain (mean service about 8.5 ms), so host slowdowns of the size
-    seen on the reference host do not build a lasting backlog. */
-constexpr double kServeRequestsPerSecond = 100;
+/** serve-fleet arrival rate: about a fifth of what 2 workers sustain
+    (mean service about 7 ms), so the reference host's short periodic
+    slowdowns queue few requests (README.md, "Arrival rate"). */
+constexpr double kServeRequestsPerSecond = 50;
 constexpr uint32_t kServeWorkers = 2;
 /**
  * Set-up samples per run: the first is cold, and setup_s is the median
